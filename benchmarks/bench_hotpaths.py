@@ -2,7 +2,8 @@
 
 Times each tracked hot kernel in both its fast form and its direct
 reference form on realistic operand sizes (the default 20 Msps packet),
-reporting median wall time and the fast/direct speedup.  The speedup
+reporting median wall time and the fast/direct speedup.  The reference
+forms of the DSP kernels live in ``tests/oracles.py``.  The speedup
 ratio -- both forms measured back-to-back on the same machine -- is the
 number the CI perf gate tracks, because absolute milliseconds are not
 comparable across runners.
@@ -27,18 +28,27 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from oracles import (
+    correlate_valid_direct,
+    digital_cancel_direct,
+    find_tag_timing_direct,
+    lstsq_channel_fit,
+    normalized_cross_correlation_direct,
+    scrambler_sequence_direct,
+)
 from repro.channel import Scene
 from repro.channel.multipath import apply_channel
 from repro.channel.noise import awgn
-from repro.coding.scrambler import _sequence_direct, scrambler_sequence
+from repro.coding.scrambler import scrambler_sequence
+from repro.dsp.backends import active_backends
 from repro.dsp.correlation import (
     normalized_cross_correlation,
     sliding_correlation,
 )
-from repro.dsp.backends import active_backend, active_backends
-from repro.dsp.fastpath import set_fastpath_enabled
 from repro.link.protocol import build_ap_transmission
 from repro.reader.batch import BatchedDecoder
 from repro.reader.cancellation import DigitalCanceller
@@ -61,20 +71,17 @@ def _median_ms(fn, repeats: int) -> float:
     return float(np.median(times)) * 1e3
 
 
-def _fast_vs_direct(fn, repeats: int) -> dict[str, float]:
-    """Time ``fn`` with the fast path globally on, then off."""
-    prev = set_fastpath_enabled(True)
-    try:
-        fast_ms = _median_ms(fn, repeats)
-        set_fastpath_enabled(False)
-        direct_ms = _median_ms(fn, repeats)
-    finally:
-        set_fastpath_enabled(prev)
+def _ratio(fast_ms: float, direct_ms: float) -> dict[str, float]:
     return {
         "fast_ms": round(fast_ms, 4),
         "direct_ms": round(direct_ms, 4),
         "speedup": round(direct_ms / max(fast_ms, 1e-9), 3),
     }
+
+
+def _fast_vs_direct(fast, direct, repeats: int) -> dict[str, float]:
+    """Time ``fast``, then its reference form ``direct``."""
+    return _ratio(_median_ms(fast, repeats), _median_ms(direct, repeats))
 
 
 def _make_frame(rng: np.random.Generator):
@@ -97,11 +104,10 @@ def bench_fine_timing_search(repeats: int) -> dict[str, float]:
     """Full fine-timing search: batched solver vs per-offset SVD."""
     rng = np.random.default_rng(3)
     tl, x, y = _make_frame(rng)
-
-    def run():
-        find_tag_timing(x, y, tl.nominal_preamble_start, 32.0)
-
-    return _fast_vs_direct(run, repeats)
+    start = tl.nominal_preamble_start
+    return _fast_vs_direct(
+        lambda: find_tag_timing(x, y, start, 32.0),
+        lambda: find_tag_timing_direct(x, y, start, 32.0), repeats)
 
 
 def _make_cancel_problem():
@@ -126,22 +132,20 @@ def bench_digital_cancellation(repeats: int) -> dict[str, float]:
     """
     x, residual, silent = _make_cancel_problem()
     canceller = DigitalCanceller()
-
-    def run():
-        canceller.estimate(x, residual, silent)
-
-    return _fast_vs_direct(run, repeats)
+    return _fast_vs_direct(
+        lambda: canceller.estimate(x, residual, silent),
+        lambda: lstsq_channel_fit(x, residual, canceller.n_taps,
+                                  rows=silent), repeats)
 
 
 def bench_digital_cancel_full(repeats: int) -> dict[str, float]:
     """End-to-end cancel: fit + full-packet reconstruct-and-subtract."""
     x, residual, silent = _make_cancel_problem()
     canceller = DigitalCanceller()
-
-    def run():
-        canceller.cancel(x, residual, silent)
-
-    return _fast_vs_direct(run, repeats)
+    return _fast_vs_direct(
+        lambda: canceller.cancel(x, residual, silent),
+        lambda: digital_cancel_direct(x, residual, silent,
+                                      canceller.n_taps), repeats)
 
 
 def bench_sliding_correlation(repeats: int) -> dict[str, float]:
@@ -149,11 +153,8 @@ def bench_sliding_correlation(repeats: int) -> dict[str, float]:
     rng = np.random.default_rng(11)
     x = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
     t = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-
-    def run():
-        sliding_correlation(x, t)
-
-    return _fast_vs_direct(run, repeats)
+    return _fast_vs_direct(lambda: sliding_correlation(x, t),
+                           lambda: correlate_valid_direct(x, t), repeats)
 
 
 def bench_normalized_cross_correlation(repeats: int) -> dict[str, float]:
@@ -161,31 +162,24 @@ def bench_normalized_cross_correlation(repeats: int) -> dict[str, float]:
     rng = np.random.default_rng(13)
     x = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
     t = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-
-    def run():
-        normalized_cross_correlation(x, t)
-
-    return _fast_vs_direct(run, repeats)
+    return _fast_vs_direct(
+        lambda: normalized_cross_correlation(x, t),
+        lambda: normalized_cross_correlation_direct(x, t), repeats)
 
 
 def bench_scrambler_sequence(repeats: int) -> dict[str, float]:
     """127-periodic table lookup vs the stepwise LFSR loop."""
     n = 4096
-
-    fast_ms = _median_ms(lambda: scrambler_sequence(n), repeats)
-    direct_ms = _median_ms(lambda: _sequence_direct(n, 0x7F), repeats)
-    return {
-        "fast_ms": round(fast_ms, 4),
-        "direct_ms": round(direct_ms, 4),
-        "speedup": round(direct_ms / max(fast_ms, 1e-9), 3),
-    }
+    return _fast_vs_direct(lambda: scrambler_sequence(n),
+                           lambda: scrambler_sequence_direct(n, 0x7F),
+                           repeats)
 
 
 def bench_batched_decode(repeats: int) -> dict[str, float]:
     """100-exchange decode: one stacked batch vs the per-exchange loop.
 
-    Both forms run with the DSP fast paths enabled -- the ratio
-    measures batching alone (shared Gram factorisations, one batched
+    Both forms run the same DSP kernels -- the ratio measures batching
+    alone (shared Gram factorisations, one batched
     Viterbi sweep) on the multi-tag simulator's calibration workload.
     Seconds-scale per run, so the repeat count is capped.
     """
@@ -216,23 +210,11 @@ def bench_batched_decode(repeats: int) -> dict[str, float]:
     def rngs():
         return [np.random.default_rng(5000 + b) for b in range(n_batch)]
 
-    repeats = min(repeats, 5)
-    prev = set_fastpath_enabled(True)
-    try:
-        fast_ms = _median_ms(
-            lambda: decoder.decode_batch(tl, rx, h_envs, rngs=rngs()),
-            repeats)
-        direct_ms = _median_ms(
-            lambda: [reader.decode(tl, rx[b], h_envs[b], rng=r)
-                     for b, r in enumerate(rngs())],
-            repeats)
-    finally:
-        set_fastpath_enabled(prev)
-    return {
-        "fast_ms": round(fast_ms, 4),
-        "direct_ms": round(direct_ms, 4),
-        "speedup": round(direct_ms / max(fast_ms, 1e-9), 3),
-    }
+    return _fast_vs_direct(
+        lambda: decoder.decode_batch(tl, rx, h_envs, rngs=rngs()),
+        lambda: [reader.decode(tl, rx[b], h_envs[b], rng=r)
+                 for b, r in enumerate(rngs())],
+        min(repeats, 5))
 
 
 def _sweep_cell_trial(args) -> tuple[bool, float]:
@@ -283,7 +265,6 @@ def bench_batched_sweep_cell(repeats: int) -> dict[str, float]:
                                   psdu=psdu, rngs=rngs)
 
     repeats = min(repeats, 5)
-    prev = set_fastpath_enabled(True)
     engine = ExperimentEngine(jobs=2, cache=False)
     try:
         fast_cell()  # warm caches/deferred imports, matching the pool warm-up
@@ -294,12 +275,7 @@ def bench_batched_sweep_cell(repeats: int) -> dict[str, float]:
                 lambda: parallel_map(_sweep_cell_trial, tasks), repeats)
     finally:
         engine.close()
-        set_fastpath_enabled(prev)
-    return {
-        "fast_ms": round(fast_ms, 4),
-        "direct_ms": round(direct_ms, 4),
-        "speedup": round(direct_ms / max(fast_ms, 1e-9), 3),
-    }
+    return _ratio(fast_ms, direct_ms)
 
 
 def bench_streaming_warm_session(repeats: int) -> dict[str, float]:
@@ -331,17 +307,8 @@ def bench_streaming_warm_session(repeats: int) -> dict[str, float]:
                  for s in range(0, cap.n_samples, chunk)],
                 pa_output=cap.x_pa, rng=rng)
 
-    prev = set_fastpath_enabled(True)
-    try:
-        fast_ms = _median_ms(lambda: run_session(True), repeats)
-        direct_ms = _median_ms(lambda: run_session(False), repeats)
-    finally:
-        set_fastpath_enabled(prev)
-    return {
-        "fast_ms": round(fast_ms, 4),
-        "direct_ms": round(direct_ms, 4),
-        "speedup": round(direct_ms / max(fast_ms, 1e-9), 3),
-    }
+    return _fast_vs_direct(lambda: run_session(True),
+                           lambda: run_session(False), repeats)
 
 
 def bench_streaming_mux(repeats: int) -> dict[str, float]:
@@ -392,7 +359,6 @@ def bench_streaming_mux(repeats: int) -> dict[str, float]:
         await asyncio.gather(*[one_exchange(sid) for sid in sids])
 
     repeats = min(repeats, 5)
-    prev = set_fastpath_enabled(True)
     try:
         sids = loop.run_until_complete(setup())
         fast_ms = _median_ms(
@@ -407,13 +373,8 @@ def bench_streaming_mux(repeats: int) -> dict[str, float]:
     finally:
         loop.run_until_complete(mux.aclose())
         loop.close()
-        set_fastpath_enabled(prev)
-    return {
-        "fast_ms": round(fast_ms, 4),
-        "direct_ms": round(direct_ms, 4),
-        "speedup": round(direct_ms / max(fast_ms, 1e-9), 3),
-        "sessions_per_sec": round(n_sessions / (fast_ms / 1e3), 1),
-    }
+    return {**_ratio(fast_ms, direct_ms),
+            "sessions_per_sec": round(n_sessions / (fast_ms / 1e3), 1)}
 
 
 KERNELS = {
@@ -430,33 +391,34 @@ KERNELS = {
 }
 
 KERNEL_SLOTS = {
-    # Which pluggable backend slots each kernel's fast form exercises,
-    # so the report can attribute a measurement to the provider that
-    # actually ran (numpy reference vs scipy vs a registered extra).
-    "fine_timing_search": ("fft", "solve"),
-    "digital_cancellation": ("solve",),
-    "digital_cancel_full": ("solve", "fft"),
+    # Which kernel-provider slots each kernel's fast form exercises, so
+    # the report can attribute a measurement to the provider that
+    # actually ran (scipy or the numpy fallback).
+    "fine_timing_search": ("fft",),
+    "digital_cancellation": (),
+    "digital_cancel_full": ("fft",),
     "sliding_correlation": ("fft",),
     "normalized_cross_correlation": ("fft",),
     "scrambler_sequence": (),
-    "batched_decode": ("fft", "solve"),
-    "batched_sweep_cell": ("fft", "solve", "ar1"),
-    "streaming_warm_session": ("fft", "solve", "ar1"),
-    "streaming_mux": ("fft", "solve", "ar1"),
+    "batched_decode": ("fft",),
+    "batched_sweep_cell": ("fft", "ar1"),
+    "streaming_warm_session": ("fft", "ar1"),
+    "streaming_mux": ("fft", "ar1"),
 }
 
 
 def run_suite(kernels: list[str], repeats: int) -> dict:
     """Run the selected kernels; returns the bench JSON document."""
     results = {}
+    backends = active_backends()
     for name in kernels:
         results[name] = KERNELS[name](repeats)
         slots = KERNEL_SLOTS.get(name, ())
         if slots:
             results[name]["backends"] = {
-                slot: active_backend(slot) for slot in slots}
+                slot: backends[slot] for slot in slots}
     return {"schema": SCHEMA, "kind": "bench_hotpaths",
-            "repeats": repeats, "backends": active_backends(),
+            "repeats": repeats, "backends": backends,
             "kernels": results}
 
 

@@ -166,9 +166,8 @@ def coherence_impairment(n: int, rms: float, coherence_samples: float,
         return np.ones(n, dtype=np.complex128)
     rho, innov_scale = ar1_drift_params(rms, coherence_samples)
     w, prev = draw_ar1_innovations(n, rms, innov_scale, rng)
-    # AR(1) recursion through the pluggable backend registry: SciPy's
-    # lfilter when available, the bit-identical numpy reference loop on
-    # numpy-only installs, a JIT'd loop when numba is around.
+    # AR(1) recursion: SciPy's lfilter when it imports, else the
+    # bit-identical numpy loop (repro.dsp.backends).
     from ..dsp.backends import get_kernel
 
     delta = get_kernel("ar1")(w, rho, prev)

@@ -15,25 +15,18 @@ decoder and the vectorized sweep cells amortise per-call overhead.
 Ragged batches (rows of unequal length) are rejected with a
 ``ValueError`` — stack equal-length rows or fall back to per-row calls.
 
-The FFT itself is resolved through the pluggable backend registry
-(:mod:`repro.dsp.backends`, kernel slot ``"fft"``): ``scipy.fft`` when
-SciPy is installed, ``np.fft`` as the always-available reference, and a
-``register_backend`` seam for CuPy/pyFFTW.
+The FFT itself comes from :mod:`repro.dsp.backends` (kernel slot
+``"fft"``): ``scipy.fft`` when SciPy imports, else ``np.fft``.
 
-Every fast kernel agrees with its direct counterpart to float64
-rounding (``max |fast - direct| <= 1e-10 * max |direct|``); the
-equivalence suite in ``tests/test_fastpath.py`` enforces this across
-the crossover boundary, for every registered backend, and along batch
-axes.
-
-The global switch :func:`fastpath_enabled` (env ``REPRO_FASTPATH=0`` to
-disable) lets benchmarks and debugging sessions force the direct forms
-everywhere without touching call sites.
+Every fast kernel agrees with its direct counterpart (``np.convolve``,
+``np.correlate``) to float64 rounding
+(``max |fast - direct| <= 1e-10 * max |direct|``); the equivalence
+suite in ``tests/test_fastpath.py`` enforces this across the crossover
+boundary and along batch axes against the reference forms kept in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -44,8 +37,6 @@ __all__ = [
     "FFT_MIN_WORK",
     "fast_convolve",
     "fast_correlate_valid",
-    "fastpath_enabled",
-    "set_fastpath_enabled",
     "stacked_convolve",
     "use_fft",
 ]
@@ -62,21 +53,6 @@ FFT_MIN_WORK = 1 << 18
 """Minimum direct-form work (``len(x) * len(h)``) before the FFT path
 pays for its setup."""
 
-_ENABLED = os.environ.get("REPRO_FASTPATH", "1") != "0"
-
-
-def fastpath_enabled() -> bool:
-    """Whether fast kernels are globally enabled (default: yes)."""
-    return _ENABLED
-
-
-def set_fastpath_enabled(enabled: bool) -> bool:
-    """Flip the global fast-path switch; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
 
 def use_fft(n: int, m: int) -> bool:
     """Crossover predicate: should an (n x m) kernel take the FFT path?
@@ -87,8 +63,6 @@ def use_fft(n: int, m: int) -> bool:
     The decision is per batch *row*; a stacked call simply runs the same
     branch for every row.
     """
-    if not _ENABLED:
-        return False
     return m >= FFT_MIN_TAPS and n * m >= FFT_MIN_WORK
 
 
@@ -125,7 +99,7 @@ def _overlap_save(x: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     ``h`` must be the shorter operand (along the last axis).  Leading
     axes broadcast; FFTs run along the last axis through the selected
-    ``"fft"`` backend.  Block length is a power of two, at least
+    ``"fft"`` kernel.  Block length is a power of two, at least
     ``8 * len(h)`` (so >= 7/8 of each FFT produces output) but never
     larger than one FFT covering the whole result.
     """
@@ -217,11 +191,10 @@ def stacked_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     float64 rounding (rtol 1e-10, in practice ~1e-15), not bitwise;
     hot batch paths (the batched session synthesizer, the batched
     digital canceller) opt into it explicitly, while
-    :func:`fast_convolve`'s direct batched form stays the bit-exact
-    reference.
+    :func:`fast_convolve`'s per-row batched form stays bit-exact.
 
-    Scalar inputs, empty operands, operands past the FFT crossover and
-    the disabled fast path all delegate to :func:`fast_convolve`.
+    Scalar inputs, empty operands and operands past the FFT crossover
+    delegate to :func:`fast_convolve`.
     """
     x = _as_complex_batch(x, "x")
     h = _as_complex_batch(h, "h")
@@ -233,7 +206,7 @@ def stacked_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     if n < m:
         x, h = h, x
         n, m = m, n
-    if not fastpath_enabled() or use_fft(n, m):
+    if use_fft(n, m):
         return fast_convolve(x, h)
     batch = _batch_shape(x, h)
     out_len = n + m - 1

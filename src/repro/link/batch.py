@@ -37,7 +37,7 @@ Options the batch cannot share -- non-WiFi excitation, interfering
 tags, fault plans, tag mobility, the real wake-up detector, client
 decode, or elements that disagree on the transmission parameters
 (tag id, preamble length, TX power) -- transparently fall back to the
-scalar loop, as does ``REPRO_FASTPATH=0``.
+scalar loop.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ from ..constants import (
     SAMPLES_PER_US,
     TAG_PREAMBLE_US,
 )
-from ..dsp.fastpath import fastpath_enabled, stacked_convolve
+from ..dsp.backends import get_kernel
+from ..dsp.fastpath import stacked_convolve
 from ..tag.tag import BackFiTag
 from .protocol import build_ap_transmission
 from .session import SessionResult, run_backscatter_session
@@ -98,7 +99,7 @@ def run_exchange_batch(
     backscatter_evm: float = BACKSCATTER_EVM_RMS,
     addressed_tag_id: int | None = None,
     include_cts: bool = True,
-    batched: bool | None = None,
+    batched: bool | None = True,
 ) -> list[SessionResult]:
     """Run one exchange per (scene, tag, rng) triple off a shared PSDU.
 
@@ -113,11 +114,9 @@ def run_exchange_batch(
         One independent generator per element; each element's draws
         land on its own generator in the scalar session's order.
     batched:
-        ``None`` follows the global fast-path switch
-        (:func:`~repro.dsp.fastpath.fastpath_enabled`); ``False``
-        forces the scalar per-element loop (the reference the
-        equivalence suite compares against); ``True`` forces the
-        batched path.
+        ``False`` runs the scalar per-element loop (the reference the
+        equivalence suite compares against); ``True`` (or ``None``)
+        the batched path.
     """
     n = len(scenes)
     if len(tags) != n or len(rngs) != n:
@@ -144,9 +143,7 @@ def run_exchange_batch(
             for b in range(n)
         ]
 
-    if batched is None:
-        batched = fastpath_enabled()
-    if not batched:
+    if batched is False:
         return _scalar_loop()
 
     # The timeline is shared only when every element would build the
@@ -213,8 +210,6 @@ def run_exchange_batch(
         # AR(1) recursions and the accumulation as stacked calls.  Each
         # row's recursion and multiply are elementwise-identical to its
         # scalar counterpart, so bits are preserved.
-        from ..dsp.backends import get_kernel
-
         (env_rms, env_coh_us), = env_keys
         evm_on = backscatter_evm > 0
         if env_rms > 0:

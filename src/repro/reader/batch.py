@@ -55,12 +55,15 @@ from .failures import FailureKind, ReaderFailure
 from .fastpath import BatchPreambleSolver
 from .mrc import MrcOutput, _mrc_combine
 from .reader import BackFiReader, ReaderResult
-from .sync import SyncResult, replay_offset_selection
+from .sync import (
+    SYNC_STEP_SAMPLES,
+    SyncResult,
+    replay_offset_selection,
+    search_window,
+    timing_penalty,
+)
 
 __all__ = ["BatchedDecoder"]
-
-_SYNC_STEP = 4
-"""Coarse sweep stride; must match find_tag_timing's default."""
 
 
 def _rng_state(rng: np.random.Generator | None):
@@ -216,20 +219,18 @@ class BatchedDecoder:
         # metric table.
         results: list[ReaderResult | None] = [None] * n_batch
         search = int(reader.sync_search_us * SAMPLES_PER_US)
-        step = _SYNC_STEP
+        step = SYNC_STEP_SAMPLES
         n_taps = reader.n_channel_taps
         nominal = timeline.nominal_preamble_start
-        window = (nominal - search - step,
-                  nominal + search + n_taps + 2 * step)
+        lo, hi = search_window(search, step, n_taps)
         solver = BatchPreambleSolver(
             x, cleaned, timeline.preamble_us, n_taps=n_taps,
-            preamble_seed=reader.preamble_seed, start_window=window)
-        grid = np.arange(-search - step + 1,
-                         search + n_taps + 2 * step + 1)
+            preamble_seed=reader.preamble_seed,
+            start_window=(nominal + lo, nominal + hi))
+        grid = np.arange(lo + 1, hi + 1)
         feasible, resid_p, gain = solver.evaluate(nominal + grid)
-        pen = 1.0 + 0.005 * np.abs(grid).astype(np.float64)
         with np.errstate(invalid="ignore"):
-            metric = resid_p / gain * pen[None, :]
+            metric = resid_p / gain * timing_penalty(grid)[None, :]
         grid0 = int(grid[0])
 
         groups: dict[int, list[int]] = {}
@@ -254,7 +255,7 @@ class BatchedDecoder:
             ests = estimate_combined_channel_group(
                 x, cleaned[np.asarray(idxs)], start, timeline.preamble_us,
                 n_taps=n_taps, preamble_seed=reader.preamble_seed)
-            penalty = 1.0 + 0.005 * abs(off)
+            penalty = timing_penalty(off)
             syncs = [
                 SyncResult(
                     preamble_start=start, offset_samples=off,
@@ -313,15 +314,15 @@ class BatchedDecoder:
 
         Mirrors ``DigitalCanceller.cancel`` per element by calling
         :func:`ls_channel_estimate` with the quantized captures stacked
-        as multi-RHS columns: the method resolution (``"auto"`` ->
-        normal equations for the overdetermined silent fit), the ridge
-        and the singular-Gram SVD fallback are the scalar path's own
-        code, so every element's taps match its scalar fit to float64
-        rounding while the design matrix is factored exactly once.
+        as multi-RHS columns: the solver choice (normal equations for
+        the overdetermined silent fit), the ridge and the singular-Gram
+        SVD fallback are the scalar path's own code, so every element's
+        taps match its scalar fit to float64 rounding while the design
+        matrix is factored exactly once.
         """
         n = quantized.shape[1]
         h_all = ls_channel_estimate(x, quantized, digital.n_taps,
-                                    rows=train_rows, method=digital.method)
+                                    rows=train_rows)
         return quantized - stacked_convolve(x, h_all)[..., :n]
 
     def _mrc_group(self, x: np.ndarray, cleaned: np.ndarray,

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..channel.hardware import Adc
 from ..channel.noise import noise_power_mw
-from ..dsp.fastpath import fast_convolve, fastpath_enabled
+from ..dsp.fastpath import fast_convolve
 from ..dsp.measurements import residual_power_db
 from ..telemetry import get_collector
 from ..utils.conversions import db_to_linear
@@ -41,6 +41,7 @@ __all__ = [
     "SelfInterferenceCanceller",
     "StagedCancellation",
     "DEFAULT_ANALOG_RNG_SEED",
+    "LS_RIDGE",
     "WARM_REUSE_MAX_RISE_DB",
 ]
 
@@ -61,10 +62,16 @@ taps instead of re-fitting.  Matches the reader's
 ``RESIDUAL_FLOOR_RISE_DB`` diagnosis threshold: a reused fit that would
 trip the residual-floor classifier is refit instead."""
 
+LS_RIDGE = 1e-3
+"""Tikhonov ridge of every LS channel fit in the reader, relative to the
+excitation's mean column energy.  The digital canceller, the channel
+estimator and the sync sweep's batched preamble solvers all solve the
+problem with this one regulariser."""
+
 NORMAL_EQ_MIN_ROWS = 4
-"""Row count above which ``method="auto"`` prefers the normal-equation
-solve over the lstsq SVD (the SVD only wins on tiny systems where its
-robustness is free)."""
+"""Rows per tap above which :func:`ls_channel_estimate` solves the
+normal equations instead of the lstsq SVD (the SVD only wins on tiny
+systems where its robustness is free)."""
 
 
 def convolution_matrix(x: np.ndarray, n_taps: int,
@@ -86,8 +93,7 @@ def convolution_matrix(x: np.ndarray, n_taps: int,
 def ls_channel_estimate(x: np.ndarray, y: np.ndarray, n_taps: int,
                         rows: np.ndarray | None = None,
                         rcond: float = 1e-9,
-                        ridge: float = 1e-3,
-                        method: str = "auto") -> np.ndarray:
+                        ridge: float = LS_RIDGE) -> np.ndarray:
     """Least-squares FIR channel estimate from known input/output.
 
     ``ridge`` adds Tikhonov regularisation relative to the excitation's
@@ -96,19 +102,15 @@ def ls_channel_estimate(x: np.ndarray, y: np.ndarray, n_taps: int,
     ill-conditioned null-space directions that would otherwise blow the
     estimate's norm up while "explaining" noise.
 
-    ``method`` selects the solver:
-
-    * ``"lstsq"`` -- the reference path: ridge rows appended to the
-      design matrix, solved by SVD (``np.linalg.lstsq``).
-    * ``"normal"`` -- the fast path: the Toeplitz-structured design
-      matrix is collapsed into its ``n_taps x n_taps`` Gram matrix
-      (normal equations, ridge folded into the diagonal) and solved
-      directly.  Same minimiser as the SVD route up to
-      float64 rounding, at a fraction of the cost for the long
-      silent-period fits the :class:`DigitalCanceller` runs.
-    * ``"auto"`` -- ``"normal"`` whenever the system is regularised and
-      overdetermined enough for it to be safe (and the fast path is
-      globally enabled), else ``"lstsq"``.
+    Regularised, overdetermined systems (at least
+    :data:`NORMAL_EQ_MIN_ROWS` rows per tap) collapse the
+    Toeplitz-structured design matrix into its ``n_taps x n_taps`` Gram
+    matrix (normal equations, ridge folded into the diagonal) and solve
+    it directly -- the same minimiser as the SVD route up to float64
+    rounding, at a fraction of the cost for the long silent-period fits
+    the :class:`DigitalCanceller` runs.  Tiny or unregularised systems,
+    and a Gram that is singular despite the ridge, take the
+    appended-ridge ``np.linalg.lstsq`` (SVD) solve instead.
 
     ``y`` may carry leading batch axes ``(..., n)`` -- a stack of receive
     signals observed through the *same* excitation ``x``.  The design
@@ -124,20 +126,13 @@ def ls_channel_estimate(x: np.ndarray, y: np.ndarray, n_taps: int,
     n_obs = y.shape[-1] if y.ndim else y.size
     if n_obs != x.size:
         raise ValueError("x and y must be the same length")
-    if method not in ("auto", "normal", "lstsq"):
-        raise ValueError(f"unknown method {method!r}")
     a = convolution_matrix(x, n_taps, rows)
     b = y if rows is None else y[..., np.asarray(rows, dtype=np.intp)]
     if a.shape[0] < n_taps:
         raise ValueError(
             f"only {a.shape[0]} equations for {n_taps} taps"
         )
-    if method == "auto":
-        method = "normal" if (
-            fastpath_enabled() and ridge > 0
-            and a.shape[0] >= NORMAL_EQ_MIN_ROWS * n_taps
-        ) else "lstsq"
-    if method == "normal":
+    if ridge > 0 and a.shape[0] >= NORMAL_EQ_MIN_ROWS * n_taps:
         h = _normal_equation_solve(a, b, ridge)
         if h is not None:
             return h
@@ -161,15 +156,11 @@ def _normal_equation_solve(a: np.ndarray, b: np.ndarray,
     """Solve ``(A^H A + lam^2 I) h = A^H b``; None if singular.
 
     The ridge keeps the Gram positive definite, so a plain LAPACK solve
-    on the tiny ``n_taps x n_taps`` system is exact to rounding.  The
-    solve itself is resolved through the backend registry (slot
-    ``"solve"``); auto-detection prefers numpy's over SciPy's Cholesky
-    pair because its call overhead is a third of the wrapper-heavy scipy
-    route on sub-100-tap systems.  ``b`` may be stacked ``(..., rows)``;
+    on the tiny ``n_taps x n_taps`` system is exact to rounding.
+    ``np.linalg.solve`` has about a third of SciPy's wrapper overhead on
+    these sub-100-tap systems.  ``b`` may be stacked ``(..., rows)``;
     all right-hand sides share the one Gram factorisation.
     """
-    from ..dsp.backends import get_kernel
-
     ac = a.conj().T
     g = ac @ a
     if ridge > 0:
@@ -179,10 +170,10 @@ def _normal_equation_solve(a: np.ndarray, b: np.ndarray,
         g.flat[:: g.shape[0] + 1] += ridge * max(col_energy, 1e-300)
     try:
         if b.ndim <= 1:
-            return get_kernel("solve")(g, ac @ b)
+            return np.linalg.solve(g, ac @ b)
         batch = b.shape[:-1]
         rhs = ac @ b.reshape(-1, b.shape[-1]).T
-        h = get_kernel("solve")(g, rhs)
+        h = np.linalg.solve(g, rhs)
         return h.T.reshape(batch + (g.shape[0],))
     except np.linalg.LinAlgError:
         return None
@@ -248,20 +239,17 @@ class AnalogCanceller:
 class DigitalCanceller:
     """Linear LS digital cancellation trained on the silent period.
 
-    ``method`` is forwarded to :func:`ls_channel_estimate`: the default
-    ``"auto"`` takes the Cholesky normal-equation fast path for the
-    long silent-period fit (the silent period always has far more rows
-    than taps); ``"lstsq"`` forces the reference SVD solve.
+    The silent period always has far more rows than taps, so
+    :func:`ls_channel_estimate` fits it through the normal equations.
     """
 
     n_taps: int = 24
-    method: str = "auto"
 
     def estimate(self, x: np.ndarray, residual: np.ndarray,
                  silent_rows: np.ndarray) -> np.ndarray:
         """Estimate the residual SI channel using only silent samples."""
         return ls_channel_estimate(x, residual, self.n_taps,
-                                   rows=silent_rows, method=self.method)
+                                   rows=silent_rows)
 
     def cancel(self, x: np.ndarray, residual: np.ndarray,
                silent_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,8 +300,7 @@ class SelfInterferenceCanceller:
         """
         return SelfInterferenceCanceller(
             analog=self.analog,
-            digital=DigitalCanceller(n_taps=self.digital.n_taps * factor,
-                                     method=self.digital.method),
+            digital=DigitalCanceller(n_taps=self.digital.n_taps * factor),
             adc=self.adc,
             analog_enabled=self.analog_enabled,
             digital_enabled=self.digital_enabled,

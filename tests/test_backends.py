@@ -1,200 +1,115 @@
-"""Resolution and equivalence tests for the kernel-backend registry.
+"""Tests for the kernel providers in :mod:`repro.dsp.backends`.
 
-The registry (:mod:`repro.dsp.backends`) decides which provider serves
-each low-level kernel slot.  These tests pin the five-tier precedence
-(per-kernel programmatic > blanket programmatic > per-kernel env >
-blanket env > auto-detection), the strict/lax raising rules, the
-``register_backend`` seam third-party providers use, and the
-bit-identity contract between the AR(1) providers that lets
-``coherence_impairment`` switch backends without changing a single
-result table.
+The platform picks the provider once at import: SciPy when it imports,
+else numpy.  These tests pin that rule (including the fallback when
+SciPy is missing) and the equivalence contract between the providers
+that lets ``coherence_impairment`` and the FFT convolutions run on
+either without changing a single result table.
 """
 
-import sys
-from pathlib import Path
+import builtins
+import importlib
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
 from repro.dsp import backends
-from repro.dsp.backends import (
-    BackendUnavailableError,
-    active_backend,
-    active_backends,
-    available_backends,
-    backend_summary,
-    get_kernel,
-    invalidate_cache,
-    register_backend,
-    set_backend,
-    use_backend,
-)
+from repro.dsp.backends import active_backends, backend_summary, get_kernel
+
+try:
+    from scipy import fft as scipy_fft
+    from scipy.signal import lfilter
+    HAVE_SCIPY = True
+except ImportError:
+    HAVE_SCIPY = False
 
 
-HAVE_SCIPY = "scipy" in available_backends()["fft"]
-
-
-@pytest.fixture(autouse=True)
-def _clean_selection(monkeypatch):
-    """Each test starts from pure auto-detection and leaves no trace."""
-    for var in ("REPRO_BACKEND", "REPRO_BACKEND_FFT",
-                "REPRO_BACKEND_SOLVE", "REPRO_BACKEND_AR1"):
-        monkeypatch.delenv(var, raising=False)
-    saved_kernel = dict(backends._KERNEL_OVERRIDES)
-    saved_global = backends._GLOBAL_OVERRIDE
-    backends._KERNEL_OVERRIDES.clear()
-    backends._GLOBAL_OVERRIDE = None
-    invalidate_cache()
-    yield
-    backends._KERNEL_OVERRIDES.clear()
-    backends._KERNEL_OVERRIDES.update(saved_kernel)
-    backends._GLOBAL_OVERRIDE = saved_global
-    invalidate_cache()
+def _w(shape):
+    rng = np.random.default_rng(99)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestResolution:
     def test_numpy_reference_always_available(self):
-        for kernel, providers in available_backends().items():
-            assert "numpy" in providers, kernel
+        w = _w(32)
+        assert np.array_equal(backends._ar1_numpy(w, 0.5, 0.0),
+                              get_kernel("ar1")(w, 0.5, 0.0))
+        assert np.allclose(np.fft.fft(w), get_kernel("fft").fft(w),
+                           rtol=1e-12)
 
     def test_active_backends_covers_every_kernel(self):
         active = active_backends()
-        assert set(active) == {"fft", "solve", "ar1"}
-        for kernel, name in active.items():
-            assert name in available_backends()[kernel]
+        assert set(active) == {"fft", "ar1"}
+        expect = "scipy" if HAVE_SCIPY else "numpy"
+        assert all(name == expect for name in active.values())
 
     def test_summary_format(self):
         summary = backend_summary()
-        for kernel in ("fft", "solve", "ar1"):
+        for kernel in ("fft", "ar1"):
             assert f"{kernel}=" in summary
 
-    def test_set_backend_overrides_auto(self):
-        set_backend("numpy", "fft")
-        assert active_backend("fft") == "numpy"
-        assert get_kernel("fft") is np.fft
-
-    def test_per_kernel_env_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_FFT", "numpy")
-        invalidate_cache()
-        assert active_backend("fft") == "numpy"
-
-    def test_blanket_env_selects_everywhere(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        invalidate_cache()
-        assert all(v == "numpy" for v in active_backends().values())
-
-    def test_programmatic_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_FFT", "numpy")
-        invalidate_cache()
-        if not HAVE_SCIPY:
-            pytest.skip("needs a second fft provider")
-        set_backend("scipy", "fft")
-        assert active_backend("fft") == "scipy"
-
-    def test_strict_selection_of_missing_backend_raises(self):
-        with pytest.raises(BackendUnavailableError):
-            set_backend("no-such-provider", "fft")
-
-    def test_strict_env_of_missing_backend_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_FFT", "no-such-provider")
-        invalidate_cache()
-        with pytest.raises(BackendUnavailableError):
-            get_kernel("fft")
-
-    def test_blanket_request_falls_through_missing_kernel(self):
-        # A blanket selection of a provider that lacks a slot leaves
-        # that slot on auto-detection instead of raising.
-        register_backend("fft-only", {"fft": np.fft})
-        try:
-            with use_backend("fft-only"):
-                assert active_backend("fft") == "fft-only"
-                assert active_backend("ar1") != "fft-only"
-        finally:
-            backends._PROVIDERS.pop("fft-only", None)
-            invalidate_cache()
-
     def test_unknown_kernel_rejected(self):
-        with pytest.raises((KeyError, ValueError)):
+        with pytest.raises(KeyError):
             get_kernel("warp-drive")
 
-    def test_register_rejects_unknown_slot(self):
-        with pytest.raises(ValueError):
-            register_backend("bogus", {"warp-drive": np.fft})
 
+class TestNumpyFallback:
+    """Re-import the module with every ``scipy`` import failing."""
 
-class TestUseBackend:
-    def test_context_restores_previous_selection(self):
-        before = active_backend("fft")
-        with use_backend("numpy", kernel="fft"):
-            assert active_backend("fft") == "numpy"
-        assert active_backend("fft") == before
+    @pytest.fixture
+    def numpy_only(self, monkeypatch):
+        real_import = builtins.__import__
 
-    def test_nested_contexts_unwind_in_order(self):
-        if not HAVE_SCIPY:
-            pytest.skip("needs a second fft provider")
-        with use_backend("scipy", kernel="fft"):
-            assert active_backend("fft") == "scipy"
-            with use_backend("numpy", kernel="fft"):
-                assert active_backend("fft") == "numpy"
-            assert active_backend("fft") == "scipy"
+        def no_scipy(name, *args, **kwargs):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"No module named {name!r}")
+            return real_import(name, *args, **kwargs)
 
-    def test_restores_after_exception(self):
-        before = active_backend("fft")
-        with pytest.raises(RuntimeError):
-            with use_backend("numpy", kernel="fft"):
-                raise RuntimeError("boom")
-        assert active_backend("fft") == before
-
-
-class TestRegisterSeam:
-    def test_registered_provider_is_selectable(self):
-        calls = []
-
-        def fake_ar1(w, rho, prev):
-            calls.append(len(w))
-            return backends._ar1_numpy(w, rho, prev)
-
-        register_backend("testgpu", {"ar1": fake_ar1})
+        monkeypatch.setattr(builtins, "__import__", no_scipy)
         try:
-            with use_backend("testgpu", kernel="ar1"):
-                out = get_kernel("ar1")(np.ones(4), 0.5, 0.0)
-            assert calls == [4]
-            assert out.shape == (4,)
+            yield importlib.reload(backends)
         finally:
-            backends._PROVIDERS.pop("testgpu", None)
-            invalidate_cache()
+            monkeypatch.undo()
+            importlib.reload(backends)
 
-    def test_strict_selection_of_unimplemented_slot_raises(self):
-        register_backend("testgpu", {"ar1": backends._ar1_numpy})
-        try:
-            with pytest.raises(BackendUnavailableError):
-                set_backend("testgpu", "fft")
-        finally:
-            backends._PROVIDERS.pop("testgpu", None)
-            invalidate_cache()
+    def test_numpy_selected_for_every_slot(self, numpy_only):
+        active = numpy_only.active_backends()
+        assert all(v == "numpy" for v in active.values())
+        assert numpy_only.get_kernel("fft") is np.fft
+        assert numpy_only.get_kernel("ar1") is numpy_only._ar1_numpy
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy to compare")
+    def test_fallback_kernels_match_scipy(self, numpy_only):
+        w = _w((3, 400))
+        prev = _w(3)
+        rho = 0.97
+        got = numpy_only.get_kernel("ar1")(w, rho, prev)
+        zi = (rho * prev)[:, np.newaxis]
+        ref, _ = lfilter([1.0], [1.0, -rho], w, zi=zi)
+        assert np.array_equal(got, ref)
+
+        fft_mod = numpy_only.get_kernel("fft")
+        np.testing.assert_allclose(fft_mod.fft(w, 512, axis=-1),
+                                   scipy_fft.fft(w, 512, axis=-1),
+                                   rtol=1e-10)
+        np.testing.assert_allclose(fft_mod.ifft(w, axis=-1),
+                                   scipy_fft.ifft(w, axis=-1), rtol=1e-10)
 
 
 class TestAr1Providers:
-    """Bit-identity across providers: the registry must be free to pick."""
-
-    def _w(self, shape):
-        rng = np.random.default_rng(99)
-        return (rng.standard_normal(shape)
-                + 1j * rng.standard_normal(shape))
+    """Bit-identity across providers: the platform must be free to pick."""
 
     def test_scalar_bit_identity(self):
         if not HAVE_SCIPY:
             pytest.skip("scipy not installed")
-        w = self._w(500)
+        w = _w(500)
         ref = backends._ar1_numpy(w, 0.97, 0.3 - 0.1j)
         assert np.array_equal(backends._ar1_scipy(w, 0.97, 0.3 - 0.1j),
                               ref)
 
     def test_batched_rows_match_scalar_calls(self):
-        w = self._w((6, 300))
-        prev = self._w(6)
+        w = _w((6, 300))
+        prev = _w(6)
         for provider in ([backends._ar1_numpy, backends._ar1_scipy]
                          if HAVE_SCIPY else [backends._ar1_numpy]):
             batched = provider(w, 0.9, prev)
@@ -203,7 +118,7 @@ class TestAr1Providers:
             assert np.array_equal(batched, rows), provider.__name__
 
     def test_recursion_matches_definition(self):
-        w = self._w(64)
+        w = _w(64)
         out = get_kernel("ar1")(w, 0.8, 1.0 + 0j)
         acc, expect = 1.0 + 0j, []
         for wi in w:
@@ -213,14 +128,13 @@ class TestAr1Providers:
 
 
 class TestCoherenceThroughRegistry:
-    def test_impairment_identical_across_backends(self):
+    def test_impairment_identical_across_backends(self, monkeypatch):
         from repro.channel.hardware import coherence_impairment
 
         def run():
             return coherence_impairment(
                 2048, 5e-3, 400.0, np.random.default_rng(7))
 
-        with use_backend("numpy", kernel="ar1"):
-            ref = run()
-        got = run()  # auto-detected provider (scipy when installed)
-        assert np.array_equal(ref, got)
+        got = run()  # the platform's provider (scipy when installed)
+        monkeypatch.setitem(backends._IMPLS, "ar1", backends._ar1_numpy)
+        assert np.array_equal(run(), got)

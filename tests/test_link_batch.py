@@ -125,15 +125,3 @@ class TestFallbacks:
                                  psdu=PSDU, rngs=rngs,
                                  addressed_tag_id=2, batched=True)
         assert all(r.timeline is out[0].timeline for r in out)
-
-    def test_fastpath_disabled_uses_scalar_loop(self):
-        from repro.dsp.fastpath import set_fastpath_enabled
-
-        scenes, tags, rngs = _build(2)
-        prev = set_fastpath_enabled(False)
-        try:
-            out = run_exchange_batch(scenes, tags, BackFiReader(),
-                                     psdu=PSDU, rngs=rngs)
-        finally:
-            set_fastpath_enabled(prev)
-        assert out[0].timeline is not out[1].timeline
